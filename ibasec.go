@@ -322,7 +322,7 @@ func FaultsSweep(bers []float64, kills []int, base Config) ([]FaultRow, error) {
 
 // Parallel experiment orchestration (internal/runner). A Pool executes
 // a sweep's simulation points on a bounded worker pool with panic
-// recovery, bounded retry, live progress, and — when a Manifest is
+// recovery, a per-job watchdog, live progress, and — when a Manifest is
 // attached — an append-only result store that lets interrupted runs
 // resume without re-executing finished points. Results are reassembled
 // by job index, so output is byte-identical to the serial harness at a
@@ -330,8 +330,8 @@ func FaultsSweep(bers []float64, kills []int, base Config) ([]FaultRow, error) {
 type (
 	// Pool is a bounded worker pool for experiment sweeps.
 	Pool = runner.Pool
-	// PoolOptions configures a Pool (workers, retries, backoff,
-	// progress writer, manifest).
+	// PoolOptions configures a Pool (workers, watchdog, progress
+	// writer, manifest).
 	PoolOptions = runner.Options
 	// Manifest is the append-only JSON-lines result store.
 	Manifest = runner.Store

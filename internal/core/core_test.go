@@ -1,12 +1,14 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"ibasec/internal/enforce"
 	"ibasec/internal/fabric"
 	"ibasec/internal/mac"
 	"ibasec/internal/sim"
+	"ibasec/internal/trace"
 	"ibasec/internal/transport"
 )
 
@@ -298,6 +300,62 @@ func TestClusterTracing(t *testing.T) {
 	}
 	if counts[fabric.ObsPKeyReject] == 0 {
 		t.Fatal("attacker rejections not traced")
+	}
+}
+
+// tracedRun executes one SIF cluster under attack with the
+// packet-lifecycle recorder attached and returns the full event trace,
+// the results and the simulator's event count.
+func tracedRun(t *testing.T) ([]trace.Event, *Results, uint64) {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Seed = 1
+	cfg.Duration = 2 * sim.Millisecond
+	cfg.Warmup = 200 * sim.Microsecond
+	cfg.RealtimeLoad = 0.5
+	cfg.BestEffortLoad = 0.4
+	cfg.Attackers = 1
+	cfg.AttackDuty = 0.5
+	cfg.AttackCycle = cfg.Duration / 4
+	cfg.Enforcement = enforce.SIF
+	cfg.TraceCapacity = 1 << 15
+	cl, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := cl.Simulate()
+	return cl.Trace.Events(), res, cl.Sim.Fired()
+}
+
+// TestEventTraceRerunIdentical checks determinism at the event level:
+// two serial runs of the same traced config must record the same
+// packet-lifecycle stream (timestamps, kinds, nodes, packet identities,
+// in commit order), fire the same number of events, and agree on the
+// delay statistics and counters.
+func TestEventTraceRerunIdentical(t *testing.T) {
+	refEvents, refRes, refFired := tracedRun(t)
+	if len(refEvents) == 0 {
+		t.Fatal("reference run recorded no trace events")
+	}
+	events, res, fired := tracedRun(t)
+	if fired != refFired {
+		t.Errorf("rerun fired %d events, first run %d", fired, refFired)
+	}
+	if len(events) != len(refEvents) {
+		t.Fatalf("rerun recorded %d trace events, first run %d", len(events), len(refEvents))
+	}
+	for i := range events {
+		if events[i] != refEvents[i] {
+			t.Fatalf("trace diverges at event %d:\nfirst: %v\nrerun: %v", i, refEvents[i], events[i])
+		}
+	}
+	if !reflect.DeepEqual(res.Realtime, refRes.Realtime) ||
+		!reflect.DeepEqual(res.BestEffort, refRes.BestEffort) {
+		t.Error("delay statistics diverged between runs")
+	}
+	if res.DeliveredLegit != refRes.DeliveredLegit || res.AttackDelivered != refRes.AttackDelivered ||
+		res.FilterDropped != refRes.FilterDropped || res.TrapsSent != refRes.TrapsSent {
+		t.Errorf("counters diverged: %+v vs %+v", res, refRes)
 	}
 }
 

@@ -2,7 +2,7 @@
 // for the evaluation harness. Each simulation point of a sweep
 // (experiment × config × seed) becomes a self-describing Job; Run
 // executes jobs on a bounded worker pool, converts worker panics into
-// job errors with bounded retry and exponential backoff, reports live
+// job errors, aborts wedged jobs under a watchdog, reports live
 // progress, and persists every outcome to an append-only JSON-lines
 // manifest (Store) so an interrupted run resumes by skipping
 // already-completed points.
@@ -35,23 +35,17 @@ type Options struct {
 	// Workers is the number of concurrent jobs; <= 0 means
 	// runtime.GOMAXPROCS(0).
 	Workers int
-	// Retries is how many times a failed job is re-executed before its
-	// error is surfaced (0 = fail on first error).
-	Retries int
-	// Backoff is the delay before the first retry; it doubles on each
-	// subsequent retry. <= 0 means 50ms.
-	Backoff time.Duration
 	// Progress, when non-nil, receives live status lines
 	// (completed/total, failures, ETA).
 	Progress io.Writer
 	// Store, when non-nil, persists every job outcome and serves
 	// already-completed points on resume.
 	Store *Store
-	// Watchdog, when positive, is the wall-clock budget for a single job
-	// attempt. An attempt that exceeds it is abandoned (its goroutine
-	// leaks — simulation jobs have no preemption points) and fails
-	// terminally with a *WatchdogError naming the job, so one wedged
-	// point cannot hang a whole sweep. Zero disables the watchdog.
+	// Watchdog, when positive, is the wall-clock budget for a single job.
+	// A job that exceeds it is abandoned (its goroutine leaks —
+	// simulation jobs have no preemption points) and fails with a
+	// *WatchdogError naming the job, so one wedged point cannot hang a
+	// whole sweep. Zero disables the watchdog.
 	Watchdog time.Duration
 }
 
@@ -68,14 +62,11 @@ func New(opts Options) *Pool {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	if opts.Backoff <= 0 {
-		opts.Backoff = 50 * time.Millisecond
-	}
 	return &Pool{opts: opts, counters: metrics.NewCounters()}
 }
 
 // Counters returns the pool's lifetime counters: jobs_completed,
-// jobs_resumed, jobs_failed, job_retries, job_panics.
+// jobs_resumed, jobs_failed, job_panics, job_watchdog_aborts.
 func (p *Pool) Counters() *metrics.Counters { return p.counters }
 
 // Workers returns the pool's concurrency.
@@ -90,7 +81,7 @@ func (p *Pool) Workers() int { return p.opts.Workers }
 // context error, if any; results of successful jobs are valid even when
 // an error is returned.
 //
-// A nil pool runs the jobs serially with no retries, persistence or
+// A nil pool runs the jobs serially with no persistence or
 // progress — the behaviour of the historical serial harness.
 func Run[T any](ctx context.Context, p *Pool, jobs []Job[T]) ([]T, error) {
 	if p == nil {
@@ -176,75 +167,41 @@ dispatch:
 	return results, errors.Join(errs...)
 }
 
-// executeJob runs one job with panic recovery, bounded retry and
-// exponential backoff, and records the outcome in the pool's store.
+// executeJob runs one job once with panic recovery and records the
+// outcome in the pool's store. A failed job is not retried: every job is
+// a deterministic simulation point, so a rerun fails the same way.
 func executeJob[T any](ctx context.Context, p *Pool, job *Job[T]) (T, error) {
 	var zero T
-	backoff := p.opts.Backoff
 	start := time.Now()
-	for attempt := 1; ; attempt++ {
-		v, err := runGuarded(ctx, p, job)
-		if err == nil {
-			p.counters.Inc("jobs_completed", 1)
-			recordOutcome(p, job, Record{
-				Status:    StatusOK,
-				Attempts:  attempt,
-				ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-			}, v)
-			return v, nil
-		}
-		var pe *PanicError
-		if errors.As(err, &pe) {
-			p.counters.Inc("job_panics", 1)
-		}
-		// A watchdog abort is terminal: the wedged attempt's goroutine is
-		// still running, and retrying a job that has proven it won't
-		// finish would only stack leaks.
-		var we *WatchdogError
-		if errors.As(err, &we) {
-			p.counters.Inc("job_watchdog_aborts", 1)
-			p.counters.Inc("jobs_failed", 1)
-			jerr := &JobError{Experiment: job.Experiment, Key: job.Key,
-				Index: job.Index, Attempts: attempt, Err: err}
-			recordOutcome(p, job, Record{
-				Status:    StatusFailed,
-				Attempts:  attempt,
-				ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-				Error:     err.Error(),
-			}, zero)
-			return zero, jerr
-		}
-		// Cancellation is not a job fault: don't retry, don't record.
-		if ctx.Err() != nil {
-			return zero, &JobError{Experiment: job.Experiment, Key: job.Key,
-				Index: job.Index, Attempts: attempt, Err: ctx.Err()}
-		}
-		if attempt > p.opts.Retries {
-			p.counters.Inc("jobs_failed", 1)
-			jerr := &JobError{Experiment: job.Experiment, Key: job.Key,
-				Index: job.Index, Attempts: attempt, Err: err}
-			recordOutcome(p, job, Record{
-				Status:    StatusFailed,
-				Attempts:  attempt,
-				ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-				Error:     err.Error(),
-			}, zero)
-			return zero, jerr
-		}
-		p.counters.Inc("job_retries", 1)
-		select {
-		case <-time.After(backoff):
-		case <-ctx.Done():
-			return zero, &JobError{Experiment: job.Experiment, Key: job.Key,
-				Index: job.Index, Attempts: attempt, Err: ctx.Err()}
-		}
-		backoff *= 2
+	v, err := runGuarded(ctx, p, job)
+	rec := Record{Status: StatusOK, ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond)}
+	if err == nil {
+		p.counters.Inc("jobs_completed", 1)
+		recordOutcome(p, job, rec, v)
+		return v, nil
 	}
+	jerr := &JobError{Experiment: job.Experiment, Key: job.Key, Index: job.Index, Err: err}
+	var pe *PanicError
+	if errors.As(err, &pe) {
+		p.counters.Inc("job_panics", 1)
+	}
+	var we *WatchdogError
+	if errors.As(err, &we) {
+		p.counters.Inc("job_watchdog_aborts", 1)
+	} else if ctx.Err() != nil {
+		// Cancellation is not a job fault: don't record it.
+		jerr.Err = ctx.Err()
+		return zero, jerr
+	}
+	p.counters.Inc("jobs_failed", 1)
+	rec.Status, rec.Error = StatusFailed, err.Error()
+	recordOutcome(p, job, rec, zero)
+	return zero, jerr
 }
 
-// runGuarded runs one attempt under the pool's watchdog. With no
-// watchdog the job runs on the worker goroutine directly; with one, it
-// runs on its own goroutine and an attempt that outlives the budget is
+// runGuarded runs one job under the pool's watchdog. With no watchdog
+// the job runs on the worker goroutine directly; with one, it runs on
+// its own goroutine and a job that outlives the budget is
 // abandoned in favour of a *WatchdogError (the goroutine leaks by
 // design — see Options.Watchdog).
 func runGuarded[T any](ctx context.Context, p *Pool, job *Job[T]) (T, error) {

@@ -20,13 +20,13 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	rec := Record{
 		Experiment: "fig5", Key: "load=0.4,mode=IF", Seed: 99,
-		Status: StatusOK, Attempts: 1, Payload: json.RawMessage(`{"v":7}`),
+		Status: StatusOK, Payload: json.RawMessage(`{"v":7}`),
 	}
 	if err := s.Append(rec); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Append(Record{Experiment: "fig5", Key: "bad", Seed: 1,
-		Status: StatusFailed, Attempts: 3, Error: "boom"}); err != nil {
+		Status: StatusFailed, Error: "boom"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -98,6 +98,26 @@ func TestStoreSkipsTruncatedTrailingLine(t *testing.T) {
 	}
 	if s2.Completed() != 1 {
 		t.Fatalf("completed = %d", s2.Completed())
+	}
+}
+
+// Manifests written while records still carried an "attempts" field
+// must keep resuming: the unknown field is ignored on load.
+func TestStoreResumesLegacyAttemptsField(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "manifest.jsonl")
+	legacy := `{"version":1,"tool":"ibsim","label":"L"}
+{"experiment":"e","key":"k","seed":1,"status":"ok","attempts":2,"elapsed_ms":3,"payload":7}
+`
+	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(path, "L", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if raw, ok := s.Lookup("e", "k", 1); !ok || string(raw) != "7" {
+		t.Fatalf("legacy record not resumed: %q, %v", raw, ok)
 	}
 }
 

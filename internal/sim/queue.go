@@ -13,7 +13,7 @@ const slabBlock = 64
 // time a slot leaves the queue, so a stale handle held across that
 // transition can never touch the slot's next occupant. owner pins the
 // slot to the queue that carved it, so a handle presented to the wrong
-// scheduler is refused instead of corrupting a foreign heap.
+// simulator is refused instead of corrupting a foreign heap.
 type eventSlot struct {
 	at    Time
 	seq   uint64
@@ -71,13 +71,11 @@ func (h *eventHeap) Pop() any {
 	return e
 }
 
-// eventQueue is the slab-pooled pending-event heap shared by the serial
-// Simulator and each shard of the parallel engine. It orders events by
-// (time, seq) and leaves seq assignment to the caller: the Simulator
-// uses one global counter, a Sharded engine one counter per shard (or a
-// global one in Ordered mode), which is exactly what makes their event
-// orders comparable. The zero value is ready to use. Not safe for
-// concurrent use; each queue belongs to one goroutine at a time.
+// eventQueue is the slab-pooled pending-event heap behind a Simulator.
+// It orders events by (time, seq) and leaves seq assignment to the
+// caller, which draws it from one counter so same-instant events run in
+// scheduling order. The zero value is ready to use. Not safe for
+// concurrent use.
 type eventQueue struct {
 	heap  eventHeap
 	free  []*eventSlot

@@ -16,7 +16,9 @@
 // may grow at most -alloc-tolerance (default 25%). Wall-clock ns/op on
 // a shared CI box is noisy at -benchtime=100x, so it gets the wider
 // -time-tolerance (default 60%) — still tight enough to catch the
-// "accidentally quadratic" class of regression.
+// "accidentally quadratic" class of regression. Every "current" entry
+// must also appear on stdin, so a deleted benchmark cannot leave a
+// stale entry behind.
 package main
 
 import (
@@ -25,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -170,6 +173,18 @@ func main() {
 			fail("%s: %.0f ns/op exceeds %.0f by more than %.0f%%",
 				name, g.NsPerOp, want.NsPerOp, *timeTol*100)
 		}
+	}
+	// A recorded benchmark that produced no line was deleted or renamed;
+	// its stale envelope entry must go too.
+	var missing []string
+	for name := range bf.Current {
+		if _, ok := got[name]; !ok {
+			missing = append(missing, name)
+		}
+	}
+	sort.Strings(missing)
+	for _, name := range missing {
+		fail("%s: in %s but not run; delete its entry", name, *baselinePath)
 	}
 	if failed {
 		os.Exit(1)
